@@ -1,6 +1,6 @@
 """The ``gallery`` workload: ``repro report`` over every bench but ``perf``.
 
-A timed run does a cold report over an empty store, then warm reports over
+A timed run does a cold report over an empty store, then a warm report over
 the store the cold run left.  The traced run repeats the report serially
 in-process, once without and once with spans, and reads the per-layer
 metrics from the spans.
@@ -18,21 +18,18 @@ from typing import Dict, List, Optional, Tuple
 
 import harness as h
 
-#: The host's speed drifts over tens of seconds, so a run does two rounds of
-#: one cold report (each over its own empty store) followed by no-op calls
-#: alternating with warm reports over that store; every median then spans
-#: most of the run.  Warm reports are checked in every run but timed as a
-#: per-layer metric only: on a shared 2-vCPU VM their median, mostly
-#: interpreter start-up, spread 13-30% between runs.
-ROUNDS = 2
+#: A timed run does one cold report over an empty store, then one checked
+#: warm report over the store it left, with no-op calls spread before,
+#: between and after them.  Both reports are timed as per-layer metrics
+#: only: on a shared 2-vCPU VM the host's speed drifts by 20-30% over
+#: minutes, so the medians of runs minutes apart spread 13-30%, above any
+#: bound the benchmark may set, however many reports one run repeats.
 SETUP_CALLS = 4
+#: Warm reports the traced run times for ``warm_report_s``.
 WARM_REPORTS = 3
 REPORT_TIMEOUT_S = 120.0
 JOBS_LINE = re.compile(r"^jobs: (\d+) total, (\d+) simulated, (\d+) from "
                        r"store$", re.M)
-
-#: The seven designs of the paper's comparison.
-DESIGNS = ("BASELINE", "DFC", "TAGLESS", "MPOD", "CHA", "LGM", "HYBRID2")
 
 Snapshot = Dict[str, Tuple[object, object]]
 
@@ -98,56 +95,47 @@ def check_seed1(snap: Snapshot, ops: h.Ops) -> None:
                    f"{bench} differs from the checked-in artifact")
 
 
-def setup_call(env: Dict[str, str], ops: h.Ops) -> List[float]:
+def setup_call(env: Dict[str, str], ops: h.Ops, setup: h.Setup) -> None:
     """A no-op ``report --list``: interpreter, import, registry load."""
     done = h.run(h.repro("report", "--list"), env, timeout=60)
-    ok = ops.record(done.ok and "fig01" in done.stdout,
-                    "report --list failed")
-    return [done.wall_s] if ok else []
+    if ops.record(done.ok and "fig01" in done.stdout,
+                  "report --list failed"):
+        setup.add(done.wall_s)
 
 
 def timed(seed: int) -> None:
     ops = h.Ops()
     probe = h.HostProbe()
     run_dir = h.fresh_run_dir("gallery", seed)
-    reference: Optional[Snapshot] = None
-    cold: List[float] = []
-    setup: List[float] = []
-    warm: List[float] = []
+    walls: Dict[str, float] = {}
+    env = h.pinned_env(run_dir, seed)
+    setup = h.Setup(env)
     try:
-        env = h.pinned_env(run_dir, seed)
+        cmd = report_cmd(run_dir, seed)
         probe.take()
-        for r in range(ROUNDS):
-            out = run_dir / f"round{r}"
-            cmd = report_cmd(out, seed)
+        reference: Optional[Snapshot] = None
+        for kind in ("cold", "warm"):
+            for _ in range(SETUP_CALLS):
+                setup_call(env, ops, setup)
             done = h.run(cmd, env, REPORT_TIMEOUT_S)
-            snap = check_report(done, out / "artifacts", ops,
-                                f"cold report {r}", reference, True)
-            cold.append(done.wall_s)
+            walls[f"{kind}_report_s"] = done.wall_s
+            snap = check_report(done, run_dir / "artifacts", ops,
+                                f"{kind} report", reference, kind == "cold")
             if not snap:
-                continue
+                break
             if reference is None:
                 reference = snap
                 if seed == h.FIXTURE_SEED:
                     check_seed1(reference, ops)
-            for i in range(max(SETUP_CALLS, WARM_REPORTS)):
-                if i < SETUP_CALLS:
-                    setup += setup_call(env, ops)
-                if i < WARM_REPORTS:
-                    done = h.run(cmd, env, REPORT_TIMEOUT_S)
-                    check_report(done, out / "artifacts", ops,
-                                 f"warm report {r}.{i}", reference, False)
-                    warm.append(done.wall_s)
+        for _ in range(SETUP_CALLS):
+            setup_call(env, ops, setup)
         probe.take()
     finally:
         shutil.rmtree(run_dir, ignore_errors=True)
     h.emit(ops, {
-        "setup_s": h.metric(h.median(setup), "s"),
-        "ok_frac": h.metric(ops.ok_frac, "frac"),
+        "setup_s": h.metric(setup.value(), "s"),
         "peak_rss_mb": h.metric(h.peak_rss_mb(), "MB"),
-        "cold_report_s": h.metric(h.median(cold), "s"),
-    }, {"host.probe_ms": probe.value(), "cold_report_s": cold,
-        "warm_report_s": warm})
+    }, {"host.probe_ms": probe.value(), **setup.info(), **walls})
 
 
 # ---------------------------------------------------------------------------
@@ -176,75 +164,17 @@ def spans_child(run_dir: Path, seed: int, env: Dict[str, str], spans: int,
     return json.loads(out.read_text()), out_dir
 
 
-def _sum(spans: List[dict], name: str, run: str, key: str = "dur") -> float:
-    total = 0.0
-    for span in spans:
-        if span["name"] == name and span["run"] == run:
-            total += (span["end"] - span["start"]) if key == "dur" \
-                else span[key]
-    return total
-
-
-def _attr(spans: List[dict], name: str, run: str, attr: str) -> float:
-    return sum(span["attrs"].get(attr, 0) for span in spans
-               if span["name"] == name and span["run"] == run
-               and span["attrs"])
-
-
 def layer_metrics(dump: dict) -> Dict[str, Dict[str, object]]:
-    spans, leaves = dump["spans"], dump["leaves"]
-    m = h.metric
-    out = {
-        "workloads.gen_s": m(_sum(spans, "workloads.generate", "cold"), "s"),
-        "sim.calls": m(sum(1 for s in spans if s["name"] == "sim.simulate"
-                           and s["run"] == "cold"), "count"),
-        "sim.refs": m(_attr(spans, "sim.simulate", "cold", "refs"), "count"),
-        "sim.self_s": m(_sum(spans, "sim.simulate", "cold", "self_s"), "s"),
-        "baselines.fast_path_s": m(_sum(spans, "baselines.fast_path",
-                                        "cold"), "s"),
-    }
-    for design in DESIGNS:
-        picked = [s for s in spans if s["name"] == "sim.simulate"
-                  and s["attrs"]["design"] == design]
-        busy = sum(s["end"] - s["start"] for s in picked)
-        refs = sum(s["attrs"]["refs"] for s in picked)
-        out[f"sim.refs_per_s.{design}"] = m(refs / busy if busy else 0.0,
-                                            "1/s")
-    for leaf, prefix in (("memory.transfer_block", "memory.transfer"),
-                         ("memory.device_access", "memory.device")):
-        slot = leaves.get(leaf, {"calls": 0, "s": 0.0})
-        out[f"{prefix}_calls"] = m(slot["calls"], "count")
-        out[f"{prefix}_s"] = m(slot["s"], "s")
-    for key, attr in (("sweep.jobs", "jobs"),
-                      ("sweep.simulated", "simulated"),
-                      ("sweep.attempts", "attempts"),
-                      ("sweep.failed", "failed")):
-        out[key] = m(_attr(spans, "sweep.run_jobs", "cold", attr), "count")
-    out["sweep.run_jobs_calls"] = m(sum(
-        1 for s in spans if s["name"] == "sweep.run_jobs"
-        and s["run"] == "cold"), "count")
-    out["sweep.self_s"] = m(_sum(spans, "sweep.run_jobs", "cold", "self_s"),
-                            "s")
-    probes = [s for s in spans if s["name"] == "store.probe_many"]
-    keys = sum(s["attrs"]["keys"] for s in probes)
-    out["store.probe_s"] = m(sum(s["end"] - s["start"] for s in probes), "s")
-    out["store.hit_ratio"] = m(sum(s["attrs"]["hits"] for s in probes)
-                               / max(1, keys), "frac")
-    puts = [s for s in spans if s["name"] == "store.put"]
-    out["store.put_calls"] = m(len(puts), "count")
-    out["store.put_s"] = m(sum(s["end"] - s["start"] for s in puts), "s")
-    out["trace.parse_s"] = m(_sum(spans, "trace.parse", "cold"), "s")
-    out["trace.hash_s"] = m(_sum(spans, "trace.hash", "cold"), "s")
-    out["trace.cache_write_s"] = m(_sum(spans, "trace.write_cache", "cold"),
-                                   "s")
-    out["trace.cache_load_s"] = m(_sum(spans, "trace.load_cached", "cold"),
-                                  "s")
-    out["trace.records"] = m(_attr(spans, "trace.parse", "cold", "records"),
-                             "count")
-    out["report.bench_s"] = m(_sum(spans, "report.run_bench", "warm"), "s")
-    out["report.render_s"] = m(_sum(spans, "report.render", "warm"), "s")
-    out["report.gallery_s"] = m(_sum(spans, "report.rebuild_gallery",
-                                     "warm"), "s")
+    """Layer metrics of the cold pass; store metrics over both passes and
+    report metrics of the warm pass, which simulates nothing."""
+    out = h.span_metrics(dump, "cold")
+    warm = h.span_metrics(dump, "warm")
+    every = h.span_metrics(dump)
+    for name in ("report.bench_s", "report.render_s", "report.gallery_s"):
+        out[name] = warm[name]
+    for name in ("store.probe_s", "store.hit_ratio", "store.put_calls",
+                 "store.put_s"):
+        out[name] = every[name]
     return out
 
 
@@ -311,11 +241,12 @@ def traced(seed: int) -> None:
                 traced_s / plain_s - 1.0, "frac")
             metrics["store.scan_ms"] = h.metric(
                 store_scan_ms(traced_dir / "store"), "ms")
+            metrics["cold_report_s"] = h.metric(cold.wall_s, "s")
             metrics["warm_report_s"] = h.metric(h.median(warm), "s")
             h.save_spans("gallery", seed, dump)
         probe.take()
         metrics["host.probe_ms"] = h.metric(probe.value(), "ms")
     finally:
         shutil.rmtree(run_dir, ignore_errors=True)
-    h.emit(ops, metrics)
+    h.emit(ops, metrics, traced=True)
 

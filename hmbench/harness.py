@@ -180,6 +180,45 @@ class HostProbe:
 
 
 # ---------------------------------------------------------------------------
+# set-up time
+# ---------------------------------------------------------------------------
+#: Wall time of the reference start-up, ``python3 -c "import numpy"``, on
+#: the 2-vCPU VM the bounds were set on.
+REFERENCE_S = 0.170
+
+
+class Setup:
+    """Set-up samples, each followed at once by a reference start-up.
+
+    The host's speed drifts by 20% and more over minutes, and start-up
+    time with it: the raw medians of two sets of runs a quarter of an hour
+    apart differed by up to 23%.  The reference (interpreter start and the
+    numpy import, no ``repro`` code) slows down in step, so ``setup_s`` is
+    the median ratio of each sample to the reference taken right after it,
+    in seconds at the reference's speed on that VM (``REFERENCE_S``).  Work
+    the program adds to its own start-up still shows in full; over two
+    minutes the ratio varied by +-6% where the raw time varied by +-20%.
+    """
+
+    def __init__(self, env: Dict[str, str]) -> None:
+        self.env = env
+        self.walls: List[float] = []
+        self.references: List[float] = []
+
+    def add(self, wall: float) -> None:
+        done = run([sys.executable, "-c", "import numpy"], self.env, 60)
+        self.walls.append(wall)
+        self.references.append(done.wall_s if done.ok else float("nan"))
+
+    def value(self) -> float:
+        return REFERENCE_S * median([wall / ref for wall, ref
+                                     in zip(self.walls, self.references)])
+
+    def info(self) -> Dict[str, List[float]]:
+        return {"setup_wall_s": self.walls, "reference_s": self.references}
+
+
+# ---------------------------------------------------------------------------
 # statistics and reporting
 # ---------------------------------------------------------------------------
 def median(values: Sequence[float]) -> float:
@@ -223,18 +262,41 @@ def metric(value: float, unit: str) -> Dict[str, object]:
     return {"value": float(value), "unit": unit}
 
 
+def manifest_metrics(kind: str) -> Dict[str, str]:
+    """Name -> unit of the ``end_to_end`` or ``per_layer`` metrics that
+    ``BENCHMARK.json`` lists."""
+    manifest = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return {entry["name"]: entry["unit"] for entry in manifest[kind]}
+
+
 def emit(ops: Ops, metrics: Dict[str, Dict[str, object]],
-         info: Optional[Dict[str, object]] = None) -> None:
+         info: Optional[Dict[str, object]] = None,
+         traced: bool = False) -> None:
     """Print diagnostics, then the result object as the last stdout line.
 
-    A metric that could not be measured (no samples) is left out and
-    counts as a failed operation.
+    Every workload prints every metric of the manifest's ``end_to_end``
+    list (``traced`` false) or ``per_layer`` list (``traced`` true).  A
+    metric that could not be measured (no samples, or a failed phase) counts
+    as a failed operation and reads 0.  A per-layer metric of a layer the
+    workload never enters reads 0 too: its calls, time and samples are
+    none.  ``ok_frac`` is taken from ``ops`` once every check has counted.
     """
-    for name, entry in list(metrics.items()):
-        if not math.isfinite(entry["value"]):
-            del metrics[name]
-            ops.record(False, f"{name} was not measured")
-    if "ok_frac" in metrics:
+    wanted = manifest_metrics("per_layer" if traced else "end_to_end")
+    printed = {}
+    for name, unit in wanted.items():
+        if name == "ok_frac":
+            continue
+        entry = metrics.get(name)
+        if entry is None or not math.isfinite(entry["value"]):
+            if entry is not None or not traced:
+                ops.record(False, f"{name} was not measured")
+            entry = metric(0.0, unit)
+        elif entry["unit"] != unit:
+            ops.record(False, f"{name} measured in {entry['unit']}")
+            entry = metric(entry["value"], unit)
+        printed[name] = entry
+    metrics = printed
+    if "ok_frac" in wanted:
         metrics["ok_frac"] = metric(ops.ok_frac, "frac")
     for error in ops.errors:
         print(f"check failed: {error}", file=sys.stderr)
@@ -244,6 +306,92 @@ def emit(ops: Ops, metrics: Dict[str, Dict[str, object]],
                       "attempted": max(1, ops.attempted),
                       "failed": ops.failed if ops.attempted else 1,
                       "metrics": metrics}, sort_keys=True))
+
+
+def _picked(spans: List[dict], name: str, run: Optional[str]) -> List[dict]:
+    return [span for span in spans if span["name"] == name
+            and (run is None or span["run"] == run)]
+
+
+def span_count(spans: List[dict], name: str,
+               run: Optional[str] = None) -> int:
+    """Spans called ``name`` (of run ``run``, or of every run)."""
+    return len(_picked(spans, name, run))
+
+
+def span_total(spans: List[dict], name: str, run: Optional[str] = None,
+               key: str = "dur") -> float:
+    """Summed duration (or ``key``, e.g. ``self_s``) of the named spans."""
+    return sum((span["end"] - span["start"]) if key == "dur" else span[key]
+               for span in _picked(spans, name, run))
+
+
+def span_attr(spans: List[dict], name: str, run: Optional[str],
+              attr: str) -> float:
+    """Summed attribute ``attr`` of the named spans."""
+    return sum((span["attrs"] or {}).get(attr, 0)
+               for span in _picked(spans, name, run))
+
+
+#: The seven designs of the paper's comparison.
+DESIGNS = ("BASELINE", "DFC", "TAGLESS", "MPOD", "CHA", "LGM", "HYBRID2")
+
+
+def span_metrics(dump: dict, run: Optional[str] = None
+                 ) -> Dict[str, Dict[str, object]]:
+    """The per-layer metrics read from the spans of run ``run`` (or of
+    every run) of a traced process.  A layer with no spans reads 0."""
+    spans = dump["spans"]
+    m = metric
+
+    def total(name: str, key: str = "dur") -> float:
+        return span_total(spans, name, run, key)
+
+    def attr(name: str, key: str) -> float:
+        return span_attr(spans, name, run, key)
+
+    def count(name: str) -> int:
+        return span_count(spans, name, run)
+
+    out = {
+        "workloads.gen_s": m(total("workloads.generate"), "s"),
+        "sim.calls": m(count("sim.simulate"), "count"),
+        "sim.refs": m(attr("sim.simulate", "refs"), "count"),
+        "sim.self_s": m(total("sim.simulate", "self_s"), "s"),
+        "baselines.fast_path_s": m(total("baselines.fast_path"), "s"),
+    }
+    for design in DESIGNS:
+        picked = [s for s in _picked(spans, "sim.simulate", run)
+                  if s["attrs"]["design"] == design]
+        busy = sum(s["end"] - s["start"] for s in picked)
+        refs = sum(s["attrs"]["refs"] for s in picked)
+        out[f"sim.refs_per_s.{design}"] = m(refs / busy if busy else 0.0,
+                                            "1/s")
+    # The memory fallback's leaves are tallied per process, not per run.
+    for leaf, prefix in (("memory.transfer_block", "memory.transfer"),
+                         ("memory.device_access", "memory.device")):
+        slot = dump["leaves"].get(leaf, {"calls": 0, "s": 0.0})
+        out[f"{prefix}_calls"] = m(slot["calls"], "count")
+        out[f"{prefix}_s"] = m(slot["s"], "s")
+    for key in ("jobs", "simulated", "attempts", "failed"):
+        out[f"sweep.{key}"] = m(attr("sweep.run_jobs", key), "count")
+    out["sweep.run_jobs_calls"] = m(count("sweep.run_jobs"), "count")
+    out["sweep.self_s"] = m(total("sweep.run_jobs", "self_s"), "s")
+    out["store.probe_s"] = m(total("store.probe_many"), "s")
+    out["store.hit_ratio"] = m(attr("store.probe_many", "hits")
+                               / max(1, attr("store.probe_many", "keys")),
+                               "frac")
+    out["store.put_calls"] = m(count("store.put"), "count")
+    out["store.put_s"] = m(total("store.put"), "s")
+    out["trace.parse_s"] = m(total("trace.parse"), "s")
+    out["trace.hash_s"] = m(total("trace.hash"), "s")
+    out["trace.cache_write_s"] = m(total("trace.write_cache"), "s")
+    out["trace.cache_load_s"] = m(total("trace.load_cached"), "s")
+    out["trace.records"] = m(attr("trace.parse", "records"), "count")
+    out["report.bench_s"] = m(total("report.run_bench"), "s")
+    out["report.render_s"] = m(total("report.render"), "s")
+    out["report.gallery_s"] = m(total("report.rebuild_gallery"), "s")
+    return out
 
 
 def tree_digest(*roots: Path) -> str:

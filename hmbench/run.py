@@ -18,7 +18,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 import harness  # noqa: E402
 
-WORKLOADS = ("gallery", "serve-read", "serve-mixed")
+WORKLOADS = ("gallery", "serve-read", "serve-mixed", "trace-ingest")
 
 
 def main() -> int:
@@ -35,6 +35,10 @@ def main() -> int:
         import gallery
 
         (gallery.traced if args.trace else gallery.timed)(args.seed)
+    elif args.workload == "trace-ingest":
+        import ingest
+
+        (ingest.traced if args.trace else ingest.timed)(args.seed)
     else:
         import serving
 

@@ -40,7 +40,12 @@ import harness as h
 #: p97.5 (10 samples beyond), 200 give p95.
 READS = {"serve-read": 400, "serve-mixed": 200}
 CONNECTIONS = {"serve-read": 2, "serve-mixed": 1}
-LAUNCHES = 3
+#: ``setup_s`` is the median of 10 launches: 4 before the load phase, the
+#: loaded server's own and 5 after it, so the median spans the run.  The
+#: extra launches serve a pristine copy of the fixture store, which the
+#: jobs of serve-mixed never write to.
+LAUNCHES_BEFORE = 4
+LAUNCHES_AFTER = 5
 REQUEST_TIMEOUT_S = 20.0
 LONG_POLL_S = 10.0
 JOB_DEADLINE_S = 60.0
@@ -57,12 +62,17 @@ JOB_PERIOD_S = 0.3
 
 #: Request-mix weights (per cent).  ``conditional`` re-requests a URL this
 #: connection fetched before with its ETag (expects 304); ``stale`` sends a
-#: wrong ETag (expects 200).  The 304 share sits below the median.  The
-#: O(cells) families (health, cells page) get about 22 reads per run, so
-#: the tail (the 11th slowest read) falls in the middle of their mode.
+#: wrong ETag (expects 200).  The 304 share sits below the median.  In
+#: serve-read the O(cells) families (health, cells page) get 24 reads per
+#: run, so the tail (the 11th slowest read) falls in the middle of their
+#: mode.  In serve-mixed an O(cells) read that overlaps a job takes about
+#: twice as long as one that does not, and how many overlap follows the
+#: job's run time, so the tail would sit on the edge between those modes;
+#: there they get 4 reads, and the tail falls among the ordinary reads
+#: delayed by a running job (30-60 per run).
 WEIGHTS = {"cell_chart": 15, "bench": 10, "bench_chart": 8, "registry": 10,
            "conditional": 20, "stale": 2}
-OCELLS_WEIGHT = {"serve-read": 3, "serve-mixed": 5}
+OCELLS_WEIGHT = {"serve-read": 3, "serve-mixed": 1}
 FAMILIES = ("health", "cells", "cell", "cell_chart", "bench", "bench_chart",
             "registry", "conditional")
 CACHEABLE = ("cell", "cell_chart", "bench", "bench_chart", "registry")
@@ -381,7 +391,7 @@ class Server:
             os.killpg(self.proc.pid, signal.SIGINT)
             self.proc.wait(timeout=15)
         except ProcessLookupError:
-            pass
+            self.proc.wait(timeout=15)
         except subprocess.TimeoutExpired:
             h.kill_group(self.proc)
             self.proc.wait(timeout=15)
@@ -419,7 +429,7 @@ class Job:
 def job_plan(seed: int) -> List[Job]:
     return [Job({"design": d, "workload": w, "refs": JOB_REFS,
                  "seed": seed, "nm_gb": 1, "scale": 256})
-            for w in JOB_WORKLOADS for d in gallery.DESIGNS]
+            for w in JOB_WORKLOADS for d in h.DESIGNS]
 
 
 def _get_json(conn: http.client.HTTPConnection, url: str) -> dict:
@@ -595,49 +605,64 @@ def prepare(workload: str, seed: int, tag: str) -> Tuple[Path, Path, Path,
     return run_dir, run_dir / "store", run_dir / "artifacts", cells
 
 
+def launch_times(count: int, argv: List[str], env: Dict[str, str],
+                 log: Path, ops: h.Ops, setup: h.Setup) -> None:
+    """Launch and stop a server ``count`` times, adding its start-up times
+    to ``setup``."""
+    for _ in range(count):
+        server = Server(argv, env, log)
+        try:
+            wall = server.start()
+            ops.record(True)
+        except (TimeoutError, RuntimeError, OSError) as exc:
+            ops.record(False, f"server start: {exc}")
+            continue
+        finally:
+            server.stop()
+        setup.add(wall)
+
+
 def timed(workload: str, seed: int) -> None:
     ops = h.Ops()
     probe = h.HostProbe()
     run_dir, store, art, cells = prepare(workload, seed, workload)
     read_only = workload == "serve-read"
     env = h.pinned_env(run_dir, seed)
-    server = None
+    setup = h.Setup(env)
+    log = run_dir / "server.log"
+    spare = run_dir / "setup-store"
+    spare_argv = serve_argv(spare, art, read_only)
+    server = Server(serve_argv(store, art, read_only), env, log)
     metrics: Dict[str, Dict[str, object]] = {}
     info: Dict[str, object] = {}
     try:
+        shutil.copytree(store, spare)
         probe.take()
-        setup = []
-        for i in range(LAUNCHES):
-            server = Server(serve_argv(store, art, read_only), env,
-                            run_dir / "server.log")
-            try:
-                setup.append(server.start())
-                ops.record(True)
-            except (TimeoutError, RuntimeError, OSError) as exc:
-                ops.record(False, f"server start: {exc}")
-                server.stop()
-                server = None
-                continue
-            if i < LAUNCHES - 1:
-                server.stop()
-                server = None
-        if server is not None:
+        launch_times(LAUNCHES_BEFORE, spare_argv, env, log, ops, setup)
+        try:
+            setup.add(server.start())
+            ops.record(True)
+        except (TimeoutError, RuntimeError, OSError) as exc:
+            ops.record(False, f"server start: {exc}")
+        else:
             phase = load_phase(workload, seed, server.port, cells, art)
             check_phase(phase, workload, cells, server.port, ops)
             metrics["peak_rss_mb"] = h.metric(server.peak_rss_mb(), "MB")
-            metrics.update(read_metrics(phase))
+            info.update({name: entry["value"] for name, entry
+                         in read_metrics(phase).items()})
             if phase.jobs:
-                metrics["job_p50_s"] = h.metric(
-                    h.median(job_latencies(phase.jobs)), "s")
+                info["job_p50_s"] = h.median(job_latencies(phase.jobs))
             info["histograms_ms"] = histograms(phase.samples)
-        metrics["setup_s"] = h.metric(h.median(setup), "s")
+        finally:
+            server.stop()
+        launch_times(LAUNCHES_AFTER, spare_argv, env, log, ops, setup)
+        metrics["setup_s"] = h.metric(setup.value(), "s")
+        info.update(setup.info())
         probe.take()
         info["host.probe_ms"] = probe.value()
     finally:
-        if server is not None:
-            server.stop()
+        server.stop()
         shutil.rmtree(run_dir, ignore_errors=True)
-    metrics["ok_frac"] = h.metric(ops.ok_frac, "frac")
     h.emit(ops, metrics, info)
 
 
@@ -716,14 +741,19 @@ def traced(workload: str, seed: int) -> None:
     metrics["host.probe_ms"] = h.metric(probe.value(), "ms")
     if dump is None or len(phases) < 2:
         ops.record(False, "traced server left no spans")
-        h.emit(ops, metrics)
+        h.emit(ops, metrics, traced=True)
         return
     h.save_spans(workload, seed, dump)
+    metrics.update(h.span_metrics(dump))
     metrics.update(serve_layers(phases, dump, hit_ratio))
+    metrics.update(read_metrics(phases["plain"]))
     if workload == "serve-mixed":
         metrics.update(job_layers(phases["traced"], dump))
+        metrics["job_p50_s"] = h.metric(
+            h.median(job_latencies(phases["plain"].jobs)), "s")
     h.emit(ops, metrics,
-           {"histograms_ms": histograms(phases["traced"].samples)})
+           {"histograms_ms": histograms(phases["traced"].samples)},
+           traced=True)
 
 
 def serve_layers(phases: Dict[str, Phase], dump: dict,
@@ -763,22 +793,12 @@ def job_layers(phase: Phase, dump: dict) -> Dict[str, Dict[str, object]]:
     runs = [s for s in spans if s["name"] == "sweep.run_jobs"]
     waits = [job.events["started"] - job.posted for job in phase.jobs
              if "started" in job.events and job.posted]
-    out = {
+    return {
         "serve.job_wait_s": m(h.median(waits), "s"),
         "serve.job_run_s": m(h.median([s["end"] - s["start"]
                                        for s in runs]), "s"),
-        "serve.jobs_simulated": m(sum((s["attrs"] or {}).get("simulated", 0)
-                                      for s in runs), "count"),
+        "serve.jobs_simulated": m(h.span_attr(spans, "sweep.run_jobs", None,
+                                              "simulated"), "count"),
         "loadgen.lag_ms": m(max((j.lag_s for j in phase.jobs),
                                 default=0.0) * 1e3, "ms"),
-        "sim.calls": m(sum(1 for s in spans if s["name"] == "sim.simulate"),
-                       "count"),
-        "sim.self_s": m(sum(s["self_s"] for s in spans
-                            if s["name"] == "sim.simulate"), "s"),
     }
-    for leaf, prefix in (("memory.transfer_block", "memory.transfer"),
-                         ("memory.device_access", "memory.device")):
-        slot = dump["leaves"].get(leaf, {"calls": 0, "s": 0.0})
-        out[f"{prefix}_calls"] = m(slot["calls"], "count")
-        out[f"{prefix}_s"] = m(slot["s"], "s")
-    return out

@@ -16,6 +16,7 @@ Run as a script, this file is the in-process side of the traced runs::
     python hmbench/spans.py gallery OUT.json --spans 1 --seed 1 --store S \
         --out-dir A --gallery G
     python hmbench/spans.py serve OUT.json --spans 1 -- <repro serve args>
+    python hmbench/spans.py ingest OUT.json --spans 1 -- TRACE.tsv
 """
 
 from __future__ import annotations
@@ -235,9 +236,26 @@ def _serve(args: argparse.Namespace, tracer: Tracer) -> Dict[str, Any]:
     return {"exit": main(["serve", *args.rest])}
 
 
+def _ingest(args: argparse.Namespace, tracer: Tracer) -> Dict[str, Any]:
+    """``trace convert --force`` then a cached ``trace inspect``."""
+    from repro.cli import main
+
+    source = args.rest[0]
+    walls = {}
+    for run_id, argv in (("convert", ["convert", source, "--force"]),
+                         ("load", ["inspect", source])):
+        tracer.run_id = run_id
+        start = time.perf_counter()
+        code = main(["trace", *argv, "--json"])
+        walls[run_id] = time.perf_counter() - start
+        if code:
+            raise SystemExit(code)
+    return walls
+
+
 def main_task(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("task", choices=("gallery", "serve"))
+    parser.add_argument("task", choices=("gallery", "serve", "ingest"))
     parser.add_argument("out")
     parser.add_argument("--spans", type=int, default=1)
     parser.add_argument("--seed", type=int, default=1)
@@ -251,7 +269,7 @@ def main_task(argv: Optional[List[str]] = None) -> int:
     tracer = Tracer()
     if args.spans:
         install(tracer)
-    task = {"gallery": _gallery, "serve": _serve}
+    task = {"gallery": _gallery, "serve": _serve, "ingest": _ingest}
     result = task[args.task](args, tracer)
     payload = {"task": args.task, "result": result, **tracer.dump()}
     Path(args.out).write_text(json.dumps(payload))

@@ -62,7 +62,7 @@ class MemorySystem(abc.ABC):
         """Accept an LLC dirty eviction (default: treat as a write access)."""
         self.access(address, True, now_ns)
 
-    def fast_path(self, addresses) -> Optional[Callable[[int, bool, float], float]]:
+    def fast_path(self, addresses) -> Callable[[int, bool, float], float]:
         """Compile a batch step function for the columnar driver.
 
         ``addresses`` is the full flattened int64 address column of the run
@@ -76,10 +76,16 @@ class MemorySystem(abc.ABC):
         (evictions, swaps, interval migrations, XTA misses) fall back to the
         existing slow-path methods, which share the same state objects.
 
-        The default returns ``None``: the driver then falls back to the
-        per-reference :meth:`access` loop.
+        The default adapts :meth:`access`: the column becomes a list once
+        and each step serves ``access(column[i], ...)``.
         """
-        return None
+        column = addresses.tolist()
+        access = self.access
+
+        def step(i: int, is_write: bool, now_ns: float) -> float:
+            return access(column[i], is_write, now_ns).latency_ns
+
+        return step
 
     def reset_measurement(self) -> None:
         """Zero the measured counters after a warm-up phase.

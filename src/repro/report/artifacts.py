@@ -8,8 +8,7 @@ The gallery is rebuilt from whatever artifacts exist on disk, so a
 
 The payload is deliberately free of wall-clock timestamps: the same code,
 settings and seed produce byte-identical artifacts, so regeneration is
-diffable (the perf bench's refs/sec payload is the one machine-dependent
-exception).
+diffable.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Definitions of the 13 registered benches (Figures 1-18, Tables 1-2, perf).
+"""Definitions of the 13 registered benches (Figures 1-18, Tables 1-2, trace01).
 
 Each bench regenerates one artifact of the paper's evaluation on the scaled
 model and returns a :class:`~repro.report.registry.BenchResult`: rendered
@@ -16,13 +16,15 @@ treated as errors.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional
+import os
+from pathlib import Path
+from typing import Dict, List, Mapping
 
 from ..core.variants import BREAKDOWN_VARIANTS
 from ..baselines import EVALUATED_DESIGNS
 from ..common import MIB
 from ..params import Hybrid2Params
-from ..sim import metrics, perfbench
+from ..sim import metrics
 from ..sim.sweep import DesignRef
 from ..workloads import WORKLOADS, generate_trace
 from .context import ReportContext
@@ -604,79 +606,11 @@ register(BenchSpec(
 
 
 # ----------------------------------------------------------------------
-# Engine performance — the repo's own throughput trajectory
-# ----------------------------------------------------------------------
-def run_perf(ctx: ReportContext) -> BenchResult:
-    payload = perfbench.run_benchmark(refs=ctx.perf_refs,
-                                      repeat=ctx.perf_repeat)
-    fast, gen = payload["fast_path"], payload["generator"]
-    summary_rows = [
-        ["simulate() fast path", round(fast["refs_per_sec"]),
-         round(fast["seed_refs_per_sec"]), round(fast["speedup"], 2)],
-        ["trace generator", round(gen["records_per_sec"]),
-         round(gen["seed_records_per_sec"]), round(gen["speedup"], 2)],
-    ]
-    small = payload.get("fast_path_small")
-    if small:
-        summary_rows.append(
-            [f"fast path ({payload['small_refs']} refs)",
-             round(small["refs_per_sec"]), round(small["seed_refs_per_sec"]),
-             round(small["speedup"], 2)])
-    summary_table = Table(
-        title=f"Engine throughput ({payload['refs']} refs, workload "
-              f"{payload['workload']}, best of {payload['repeat']})",
-        columns=["path", "current /s", "seed engine /s", "speedup"],
-        rows=summary_rows,
-        slug="engine")
-    design_table = Table(
-        title="Per-design refs/sec: batch fast path vs seed engine "
-              "(rates machine-dependent, speedups gated)",
-        columns=["design", "refs/s", "seed refs/s", "speedup"],
-        rows=[[label, round(rate["refs_per_sec"]),
-               round(rate["seed_refs_per_sec"]), round(rate["speedup"], 2)]
-              for label, rate in payload["designs"].items()],
-        slug="designs", chart="bar", y_label="refs/s")
-    return BenchResult(name="perf", tables=[summary_table, design_table],
-                       raw=payload)
-
-
-def check_perf(result: BenchResult) -> None:
-    payload = result.raw
-    # Below ~20k refs the engine's fixed setup stops amortising, so reduced
-    # smoke runs only record the trajectory without gating on it.
-    if payload["refs"] >= 20_000:
-        assert payload["fast_path"]["speedup"] >= 3.5
-        assert payload["generator"]["speedup"] >= 5.0
-        for label, rate in payload.get("designs", {}).items():
-            assert rate["speedup"] >= 1.5, (
-                f"{label} fast path too close to the seed engine: "
-                f"{rate['speedup']:.2f}x")
-
-
-register(BenchSpec(
-    name="perf", slug="perf_engine",
-    title="Simulation-engine throughput (refs/sec trajectory)",
-    paper_ref="(repo artifact — not a paper figure)",
-    description="Refs/sec of the columnar simulate() fast path and the "
-                "vectorized trace generator against the preserved seed "
-                "engine, plus end-to-end rates for every catalog design.",
-    run=run_perf, check=check_perf, uses_sweep=False,
-    landmarks="The columnar engine's contract: at least ~5x refs/sec on "
-              "the fast path and a much faster generator than the seed "
-              "per-record engine (raw rates are machine-dependent; the "
-              "speedup ratios are what CI gates on).",
-))
-
-
-# ----------------------------------------------------------------------
 # Real-trace twin — the evaluated designs over the checked-in corpus
 # ----------------------------------------------------------------------
-def _corpus_dir() -> "Path":
+def _corpus_dir() -> Path:
     """Locate the trace corpus: ``REPRO_TRACE_CORPUS``, the repo-relative
     ``tests/data/traces``, or the same path under the cwd."""
-    import os
-    from pathlib import Path
-
     env = os.environ.get("REPRO_TRACE_CORPUS")
     if env:
         return Path(env)
@@ -712,7 +646,9 @@ def run_trace01(ctx: ReportContext) -> BenchResult:
                          for d in EVALUATED_DESIGNS]
               for trace in order],
         slug="realtrace", chart="bar-grouped", y_label="speedup")
-    traces = {w.name: {"path": w.path, "content_hash": w.content_hash}
+    # Corpus-relative names keep the artifact independent of the checkout.
+    traces = {w.name: {"file": os.path.basename(w.path),
+                       "content_hash": w.content_hash}
               for w in workloads}
     return BenchResult(
         name="trace01", tables=[table],

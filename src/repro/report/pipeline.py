@@ -29,7 +29,7 @@ from ..sim.runner import ExperimentRunner
 from ..sim.store import ResultStore
 from ..workloads import representative_workloads
 from . import artifacts, render
-from .context import (DEFAULT_PERF_REFS, DEFAULT_PERF_REPEAT, ReportContext)
+from .context import ReportContext
 from .registry import BenchSpec, all_benches, get_bench
 
 #: Default output locations, relative to the working directory.
@@ -55,8 +55,6 @@ class ReportSettings:
     #: (plain paths honour ``REPRO_STORE_BACKEND``); ``None`` disables
     #: caching.
     store: Optional[str] = DEFAULT_STORE
-    perf_refs: int = DEFAULT_PERF_REFS
-    perf_repeat: int = DEFAULT_PERF_REPEAT
     #: Fail fast: re-raise the first bench/job failure instead of
     #: degrading to partial artifacts (``REPRO_STRICT=1`` / ``--strict``).
     strict: bool = False
@@ -74,9 +72,6 @@ class ReportSettings:
             seed=_env_int("REPRO_BENCH_SEED", 1),
             workers=workers_from_env(),
             store=store_path_from_env(),
-            perf_refs=_env_int("REPRO_BENCH_PERF_REFS", DEFAULT_PERF_REFS),
-            perf_repeat=_env_int("REPRO_BENCH_PERF_REPEAT",
-                                 DEFAULT_PERF_REPEAT),
             strict=os.environ.get("REPRO_STRICT") == "1",
         )
         for key, value in overrides.items():
@@ -105,8 +100,7 @@ class ReportSettings:
                      ) -> ReportContext:
         return ReportContext(self.make_runner(),
                              representative_workloads(per_class=self.per_class),
-                             perf_refs=self.perf_refs,
-                             perf_repeat=self.perf_repeat, log=log)
+                             log=log)
 
 
 def workers_from_env() -> int:

@@ -23,9 +23,8 @@ caught like correctness regressions.  Four sections are measured:
   reference count (default 2000), pinning the short-trace regime where
   column-materialization overhead must stay amortized.
 
-Run it with ``python -m repro bench`` (see the CLI) or via
-``benchmarks/bench_perf_engine.py``.  ``python -m repro bench
---update-baseline`` regenerates the checked-in baseline after an
+Run it with ``python -m repro bench`` (see the CLI).  ``python -m repro
+bench --update-baseline`` regenerates the checked-in baseline after an
 intentional perf change.
 """
 

@@ -212,14 +212,11 @@ def simulate(system: MemorySystem,
                               dtype=np.int64)
         write_col = [write_cols[idx][pos] for idx, pos in order]
 
-    # Designs that expose a batch operator get the whole address column at
-    # once and return a per-reference step closure; everything else (and the
-    # empty run) goes through the per-reference ``access`` loop.
-    fast_step = system.fast_path(addr_arr) if total_records else None
-    if fast_step is None:
-        stream = zip(core_col, gap_col, addr_arr.tolist(), write_col)
-    else:
-        stream = zip(count(), core_col, gap_col, write_col)
+    # Every design is driven as a batch operator: it gets the whole address
+    # column at once and returns a per-reference step closure (the
+    # ``MemorySystem`` default adapts ``access``).
+    step = system.fast_path(addr_arr)
+    stream = zip(count(), core_col, gap_col, write_col)
 
     # Per-core mutable state, shared with the IntervalCore objects where it
     # can be (the outstanding-miss windows) and written back at the end.
@@ -239,23 +236,13 @@ def simulate(system: MemorySystem,
     # a per-reference warmup branch.
     cycles_offset = 0.0
     instruction_offset = 0
-    if fast_step is None:
-        if warmup_records:
-            _drive_columns(islice(stream, warmup_records), system, state,
-                           params, llc_latency_cycles)
-            system.reset_measurement()
-            cycles_offset = max(time_cycles)
-            instruction_offset = sum(instructions)
-        _drive_columns(stream, system, state, params, llc_latency_cycles)
-    else:
-        if warmup_records:
-            _drive_columns_fast(islice(stream, warmup_records), fast_step,
-                                state, params, llc_latency_cycles)
-            system.reset_measurement()
-            cycles_offset = max(time_cycles)
-            instruction_offset = sum(instructions)
-        _drive_columns_fast(stream, fast_step, state, params,
-                            llc_latency_cycles)
+    if warmup_records:
+        _drive_columns(islice(stream, warmup_records), step, state, params,
+                       llc_latency_cycles)
+        system.reset_measurement()
+        cycles_offset = max(time_cycles)
+        instruction_offset = sum(instructions)
+    _drive_columns(stream, step, state, params, llc_latency_cycles)
     references = total_records - warmup_records
 
     for idx, core in enumerate(cores):
@@ -271,11 +258,14 @@ def simulate(system: MemorySystem,
                            instruction_offset)
 
 
-def _drive_columns(stream, system: MemorySystem, state: tuple,
-                   params, llc_cycles: float) -> None:
-    """Hot loop of :func:`simulate`: drain ``(core, gap, address, is_write)``
-    tuples through ``system`` with the interval-core timing model inlined.
+def _drive_columns(stream, step, state: tuple, params,
+                   llc_cycles: float) -> None:
+    """Hot loop of :func:`simulate`: drain ``(i, core, gap, is_write)``
+    tuples through a :meth:`~repro.baselines.base.MemorySystem.fast_path`
+    step with the interval-core timing model inlined.
 
+    The address is already baked into the step closure's precomputed
+    columns, indexed by ``i``, and the step returns the latency directly.
     All per-core state lives in the ``state`` lists (indexed by core) and
     every constant is bound to a local before the loop.  The ``cycle_ns`` /
     ``frequency_ghz`` multiplications are exactly the expressions
@@ -283,56 +273,6 @@ def _drive_columns(stream, system: MemorySystem, state: tuple,
     order mirrors ``IntervalCore.execute`` / ``memory_miss``, so every float
     stays bit-identical to the seed per-record driver
     (:func:`repro.sim.legacy.simulate_reference`).
-    """
-    (time_cycles, instructions, memory_references, llc_misses,
-     compute_cycles, sram_cycles, stall_cycles, outstanding) = state
-    issue_width = params.issue_width
-    cycle_ns = params.cycle_ns
-    ghz = params.frequency_ghz
-    rob_window = params.rob_size
-    max_outstanding = params.max_outstanding_misses
-    system_access = system.access
-
-    for idx, gap, addr, is_write in stream:
-        now = time_cycles[idx]
-        if gap > 0:
-            cycles = gap / issue_width
-            now += cycles
-            instructions[idx] += gap
-            compute_cycles[idx] += cycles
-
-        outcome = system_access(addr, is_write, now * cycle_ns)
-
-        # IntervalCore.memory_miss, inlined.
-        memory_references[idx] += 1
-        instruction_now = instructions[idx] + 1
-        instructions[idx] = instruction_now
-        llc_misses[idx] += 1
-        if llc_cycles:
-            now += llc_cycles
-            sram_cycles[idx] += llc_cycles
-        latency_cycles = outcome.latency_ns * ghz
-        window = outstanding[idx]
-        while window and instruction_now - window[0] > rob_window:
-            window.popleft()
-        while len(window) >= max_outstanding:
-            window.popleft()
-        exposed = latency_cycles / (len(window) + 1)
-        window.append(instruction_now)
-        stall_cycles[idx] += exposed
-        time_cycles[idx] = now + exposed
-
-
-def _drive_columns_fast(stream, step, state: tuple, params,
-                        llc_cycles: float) -> None:
-    """Variant of :func:`_drive_columns` for systems with a compiled
-    :meth:`~repro.baselines.base.MemorySystem.fast_path` step.
-
-    The stream carries ``(i, core, gap, is_write)`` tuples — the address is
-    already baked into the step closure's precomputed columns, indexed by
-    ``i`` — and the step returns the latency directly, skipping the
-    ``AccessOutcome`` allocation of the slow path.  The timing arithmetic is
-    byte-for-byte the same as :func:`_drive_columns`.
     """
     (time_cycles, instructions, memory_references, llc_misses,
      compute_cycles, sram_cycles, stall_cycles, outstanding) = state

@@ -529,7 +529,18 @@ class SqliteBackend(StoreBackend):
         conn = sqlite3.connect(str(path),
                                timeout=SQLITE_BUSY_TIMEOUT_MS / 1000.0,
                                check_same_thread=False)
-        conn.execute("PRAGMA journal_mode=WAL")
+        # When several processes create one shard at once, SQLite fails the
+        # losers' switch to WAL with "database is locked" straight away,
+        # without waiting out the busy timeout, so the wait is done here.
+        deadline = time.monotonic() + SQLITE_BUSY_TIMEOUT_MS / 1000.0
+        while True:
+            try:
+                conn.execute("PRAGMA journal_mode=WAL")
+                break
+            except sqlite3.OperationalError as exc:
+                if "locked" not in str(exc) or time.monotonic() > deadline:
+                    raise
+                time.sleep(0.01)
         conn.execute(f"PRAGMA busy_timeout={SQLITE_BUSY_TIMEOUT_MS}")
         conn.execute("PRAGMA synchronous=NORMAL")
         for statement in self._SCHEMA:

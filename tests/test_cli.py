@@ -95,7 +95,10 @@ def test_report_list(capsys):
     assert main(["report", "--list"]) == 0
     out = capsys.readouterr().out
     assert "fig12" in out and "table2" in out and "trace01" in out
-    assert len(out.strip().splitlines()) == 14
+    lines = out.strip().splitlines()
+    assert len(lines) == 13
+    # Engine self-timing is `repro bench`'s job, not a report bench.
+    assert "perf" not in {line.split()[0] for line in lines}
 
 
 def test_report_single_bench_writes_gallery_and_artifacts(tmp_path, capsys):

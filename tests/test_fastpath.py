@@ -6,19 +6,23 @@ here pin the layers underneath it:
 * :func:`repro.memory.kernels.make_kernels` against the
   ``controller.access`` / ``transfer_block`` method chain on a randomized
   schedule (state and returned latencies must match float for float);
-* the ``MemorySystem.fast_path`` protocol (default ``None``, step closure
-  mutating the same counters as ``access``).
+* the ``MemorySystem.fast_path`` protocol (the default adapter over
+  ``access``, step closures mutating the same counters as ``access``);
+* the single ``simulate()`` driver on empty runs.
 """
 
 import numpy as np
 import pytest
 
 from repro.baselines import DESIGN_FACTORIES
+from repro.baselines.base import MemorySystem
+from repro.cpu.trace import Trace
 from repro.common import LINE_SIZE
 from repro.memory.controller import MemoryController
 from repro.memory.kernels import make_kernels
 from repro.params import ddr4_params, hbm2_params, make_config
 from repro.sim.perfbench import NullMemorySystem
+from repro.sim.simulator import simulate
 
 CONFIG = make_config(nm_gb=1, fm_gb=16, scale=256)
 
@@ -121,9 +125,27 @@ def test_kernel_counters_reset_in_place():
     assert controller.device.reads == 0  # zeroed by the reset
 
 
-def test_fast_path_default_is_none():
-    system = NullMemorySystem(CONFIG)
-    assert system.fast_path(np.zeros(4, dtype=np.int64)) is None
+def _request_counters(system) -> tuple:
+    return (system.requests, system.requests_from_nm, system.write_requests,
+            system.collect_stats().as_dict())
+
+
+@pytest.mark.parametrize("design", sorted(DESIGN_FACTORIES) + ["NULL"])
+def test_default_fast_path_adapts_access(design):
+    """The base-class step serves ``access(column[i], ...)``: same
+    latencies, same request and traffic counters as calling ``access``."""
+    factory = DESIGN_FACTORIES.get(design, NullMemorySystem)
+    adapted, direct = factory(CONFIG), factory(CONFIG)
+    rng = np.random.default_rng(5)
+    addresses = (rng.integers(0, adapted.flat_capacity_bytes // LINE_SIZE,
+                              size=200) * LINE_SIZE).astype(np.int64)
+    writes = (rng.random(200) < 0.3).tolist()
+    step = MemorySystem.fast_path(adapted, addresses)
+    for i, (address, is_write) in enumerate(zip(addresses.tolist(), writes)):
+        now_ns = 50.0 * i
+        assert step(i, is_write, now_ns) == \
+            direct.access(address, is_write, now_ns).latency_ns
+    assert _request_counters(adapted) == _request_counters(direct)
 
 
 @pytest.mark.parametrize("design", sorted(DESIGN_FACTORIES))
@@ -136,3 +158,14 @@ def test_every_design_compiles_a_fast_path(design):
     latency = step(0, False, 0.0)
     assert latency > 0.0
     assert system.requests == 1
+
+
+@pytest.mark.parametrize("design", sorted(DESIGN_FACTORIES) + ["NULL"])
+@pytest.mark.parametrize("workload", [Trace(), [Trace(), Trace()], []],
+                         ids=["one-empty-trace", "two-empty-traces",
+                              "no-traces"])
+def test_empty_run_goes_through_the_single_driver(design, workload):
+    system = DESIGN_FACTORIES.get(design, NullMemorySystem)(CONFIG)
+    result = simulate(system, workload)
+    assert result.references == 0
+    assert result.cycles == 0.0

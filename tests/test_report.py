@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import shutil
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -17,22 +18,21 @@ from repro.report.render import chart_for_table
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
-#: Every bench of the paper's evaluation plus the engine-perf trajectory
-#: and the real-trace twin gallery page.
+#: Every bench of the paper's evaluation plus the real-trace twin gallery
+#: page.
 EXPECTED_BENCHES = (
     "fig01", "fig02", "fig11", "fig12", "fig13", "fig14",
-    "fig15", "fig16", "fig17", "fig18", "table1", "table2", "perf",
-    "trace01",
+    "fig15", "fig16", "fig17", "fig18", "table1", "table2", "trace01",
 )
 
 
 # ----------------------------------------------------------------------
 # registry completeness
 # ----------------------------------------------------------------------
-def test_all_14_benches_registered():
+def test_all_13_benches_registered():
     specs = all_benches()
     assert tuple(spec.name for spec in specs) == EXPECTED_BENCHES
-    assert len(specs) == 14
+    assert len(specs) == 13
 
 
 def test_specs_are_complete_and_slugs_unique():
@@ -153,8 +153,7 @@ def test_chart_for_table_forms_are_well_formed_xml():
 @pytest.fixture
 def tiny_settings(tmp_path):
     return ReportSettings(refs=300, per_class=1, scale=1024, seed=1,
-                          workers=1, store=str(tmp_path / "store"),
-                          perf_refs=500, perf_repeat=1)
+                          workers=1, store=str(tmp_path / "store"))
 
 
 def test_generate_report_writes_gallery_and_artifacts(tmp_path,
@@ -201,6 +200,22 @@ def test_run_bench_records_check_failures(tmp_path, tiny_settings):
     assert "intentional" in outcome.check_error
     payload = load_artifact(outcome.artifact)
     assert payload["status"] == "check-failed"
+
+
+def test_trace01_artifact_holds_no_absolute_path(tmp_path, tiny_settings,
+                                                 monkeypatch):
+    """The artifact names each trace by its corpus-relative file, so it is
+    the same wherever the corpus is checked out."""
+    corpus = tmp_path / "corpus"
+    shutil.copytree(REPO_ROOT / "tests" / "data" / "traces", corpus)
+    monkeypatch.setenv("REPRO_TRACE_CORPUS", str(corpus))
+    outcome = run_bench(get_bench("trace01"), tiny_settings.make_context(),
+                        tiny_settings, tmp_path / "artifacts")
+    result = load_artifact(outcome.artifact)["result"]
+    assert str(tmp_path) not in json.dumps(result)
+    traces = result["raw"]["traces"]
+    assert {entry["file"] for entry in traces.values()} == {
+        "stream8.tsv", "hotcold.tsv.gz", "mixed4.csv"}
 
 
 def test_rebuild_gallery_without_artifacts_is_empty_but_valid(tmp_path):

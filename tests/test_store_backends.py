@@ -10,6 +10,7 @@ migration in both directions.
 
 import json
 import multiprocessing
+import sqlite3
 
 import pytest
 
@@ -330,19 +331,50 @@ def _concurrent_writer(root, start, count):
 
 def test_sqlite_concurrent_multiprocess_writers(tmp_path):
     """WAL + busy-timeout make concurrent writer processes safe: every
-    cell lands, nothing is corrupted."""
-    procs = [multiprocessing.Process(target=_concurrent_writer,
-                                     args=(str(tmp_path), base * 50, 50))
+    cell lands, nothing is corrupted.  Writers start from a forkserver, so
+    none inherits SQLite state from a thread of the test process."""
+    context = multiprocessing.get_context("forkserver")
+    procs = [context.Process(target=_concurrent_writer,
+                             args=(str(tmp_path), base * 50, 50))
              for base in range(4)]
-    for proc in procs:
-        proc.start()
-    for proc in procs:
-        proc.join(timeout=120)
-        assert proc.exitcode == 0
+    try:
+        for proc in procs:
+            proc.start()
+        for proc in procs:
+            proc.join(timeout=120)
+            assert proc.exitcode == 0
+    finally:
+        # A hung writer fails the test instead of wedging pytest's exit.
+        for proc in procs:
+            if proc.is_alive():
+                proc.kill()
+                proc.join(timeout=30)
     store = ResultStore(f"sqlite:{tmp_path}")
     assert len(store) == 200
     report = store.fsck()
     assert report.clean and report.scanned == 200 and report.ok == 200
+
+
+def test_sqlite_waits_out_a_locked_wal_switch(tmp_path, monkeypatch):
+    """A writer that loses the race to create a shard sees "database is
+    locked" from the WAL switch at once; the store retries instead of
+    failing the write."""
+    refused = []
+    connect = sqlite3.connect
+
+    class LockedAtFirst(sqlite3.Connection):
+        def execute(self, sql, *args):
+            if "journal_mode" in sql and len(refused) < 2:
+                refused.append(sql)
+                raise sqlite3.OperationalError("database is locked")
+            return super().execute(sql, *args)
+
+    monkeypatch.setattr(sqlite3, "connect", lambda *args, **kwargs: connect(
+        *args, factory=LockedAtFirst, **kwargs))
+    store = ResultStore(f"sqlite:{tmp_path}")
+    store.put(synthetic_key(1), sample_result())
+    assert len(refused) == 2
+    assert store.get(synthetic_key(1)) is not None
 
 
 def test_sqlite_shards_are_stable_across_reopens(tmp_path):

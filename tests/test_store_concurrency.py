@@ -80,14 +80,24 @@ def test_concurrent_readers_never_see_partial_cells(tmp_path, backend):
 
     reader_thread = threading.Thread(target=read_loop, daemon=True)
     reader_thread.start()
+    # The reader thread is already running: forking now could copy its
+    # SQLite locks into a writer, so writers start from a forkserver.
+    context = multiprocessing.get_context("forkserver")
     processes = [
-        multiprocessing.Process(target=_writer_process, args=(root, w))
+        context.Process(target=_writer_process, args=(root, w))
         for w in range(WRITERS)]
-    for process in processes:
-        process.start()
-    for process in processes:
-        process.join(timeout=120)
-        assert process.exitcode == 0
+    try:
+        for process in processes:
+            process.start()
+        for process in processes:
+            process.join(timeout=120)
+            assert process.exitcode == 0
+    finally:
+        # A hung writer fails the test instead of wedging pytest's exit.
+        for process in processes:
+            if process.is_alive():
+                process.kill()
+                process.join(timeout=30)
 
     # Writers are done: keep reading until every cell is visible.
     deadline = time.monotonic() + 60
